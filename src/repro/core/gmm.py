@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..compat import np, require_numpy
+from ..compat import HAVE_NUMPY, np, require_numpy
 from ..exceptions import LearningError
 
 _MIN_VARIANCE = 1e-6
@@ -141,16 +141,28 @@ class GaussianMixture:
         return float(result) if np.isscalar(x) else result
 
     def cdf(self, x: float | np.ndarray) -> np.ndarray | float:
-        """Cumulative distribution of the mixture at ``x`` (the paper's ``F``)."""
+        """Cumulative distribution of the mixture at ``x`` (the paper's ``F``).
+
+        A scalar ``x`` (Python or numpy) is answered with ``math.erf``
+        directly; an array goes through the same IEEE operations
+        element-wise, so both paths agree bit for bit.
+        """
         self._require_fitted()
+        if np.isscalar(x):
+            value = float(x)
+            total = 0.0
+            for component in self._components:
+                std = math.sqrt(component.variance)
+                z = (value - component.mean) / (std * math.sqrt(2.0))
+                total = total + component.weight * 0.5 * (1.0 + math.erf(z))
+            return min(max(total, 0.0), 1.0)
         values = np.asarray(x, dtype=float)
         result = np.zeros_like(values, dtype=float)
         for component in self._components:
             std = math.sqrt(component.variance)
             z = (values - component.mean) / (std * math.sqrt(2.0))
             result = result + component.weight * 0.5 * (1.0 + _erf(z))
-        result = np.clip(result, 0.0, 1.0)
-        return float(result) if np.isscalar(x) else result
+        return np.clip(result, 0.0, 1.0)
 
     def sample(self, size: int, seed: int = 0) -> np.ndarray:
         """Draw samples from the fitted mixture (for tests and simulations)."""
@@ -196,7 +208,5 @@ def _normal_pdf(x: np.ndarray, mean: float, variance: float) -> np.ndarray:
     return coefficient * np.exp(-((x - mean) ** 2) / (2.0 * variance))
 
 
-def _erf(x: np.ndarray) -> np.ndarray:
-    """Vectorised error function (scipy-free)."""
-    vec = np.vectorize(math.erf)
-    return vec(x)
+# Vectorised error function (scipy-free), built once at import.
+_erf = np.vectorize(math.erf, otypes=[float]) if HAVE_NUMPY else None

@@ -103,15 +103,18 @@ class ThresholdOptimizer:
         A coarse grid scan brackets the maximum (the objective is
         unimodal but can be flat near 0 for small penalties), then
         projected gradient ascent with a numerical derivative refines it.
+        The grid is priced with one array ``cdf`` call and ties go to
+        the largest ``theta``; the ascent runs on Python floats and
+        keeps the current point's objective instead of recomputing it.
         """
         if penalty <= 0:
             return 0.0
         grid = np.linspace(0.0, penalty, self._grid_points)
-        values = [(self.objective(theta, penalty), theta) for theta in grid]
-        _, best = max(values)
-        theta = float(best)
+        values = (penalty - grid) * self._mixture.cdf(grid)
+        theta = float(grid[-1 - int(np.argmax(values[::-1]))])
         step = self._learning_rate * penalty
         eps = max(penalty * 1e-4, 1e-6)
+        current = self.objective(theta, penalty)
         for _ in range(self._iterations):
             gradient = (
                 self.objective(theta + eps, penalty)
@@ -119,8 +122,9 @@ class ThresholdOptimizer:
             ) / (2.0 * eps)
             candidate = theta + step * gradient / max(penalty, 1e-9)
             candidate = min(max(candidate, 0.0), penalty)
-            if self.objective(candidate, penalty) >= self.objective(theta, penalty):
-                theta = candidate
+            value = self.objective(candidate, penalty)
+            if value >= current:
+                theta, current = candidate, value
             else:
                 step *= 0.5
         return theta

@@ -554,6 +554,16 @@ class CHOracle(DistanceOracle):
     # ------------------------------------------------------------------
     @_locked
     def travel_time(self, source: int, target: int) -> float:
+        """Point-to-point distance, memoised per pair.
+
+        The answer for a pair is whichever float first entered the pair
+        cache: this method's bidirectional upward search, or the target
+        buckets or reverse-PHAST sweep behind :meth:`travel_times_many`.
+        Both are exact shortest distances, but they can add the same
+        edges in a different order and so differ in the last bits.  A
+        caller that queries a pair nobody queried before can therefore
+        change what later queries report for that pair.
+        """
         self._queries += 1
         if source == target:
             return 0.0

@@ -2,10 +2,13 @@
 
 Given a set of orders, ``RoutePlanner`` finds the feasible route with
 minimal total travel time (the quantity ``T(L)`` that Definition 3 of
-the paper prices).  For the small groups the paper considers (vehicle
-capacities 2-5, so groups of 2-5 orders) exhaustive enumeration of all
-valid pickup/dropoff interleavings is cheap; larger groups fall back to
-a greedy insertion construction.
+the paper prices).  Small groups are solved exactly by a depth-first
+search over the pickup/dropoff interleavings, in the spirit of the
+kinetic-tree search of Huang et al. (PVLDB 2014): a branch is cut as
+soon as it would overload the vehicle, drop a rider off after their
+deadline, or cost more than the best complete route found so far, and
+every leg is priced lazily, at most once per plan.  Larger groups fall
+back to a greedy insertion construction.
 
 The planner is the single source of feasible routes for the whole
 library: the shareability graph, the WATTER dispatcher and the GAS
@@ -15,9 +18,9 @@ place.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TYPE_CHECKING
+from typing import Sequence, TYPE_CHECKING
 
 from ..exceptions import InfeasibleGroupError
 from ..model.route import Route, RouteStop, StopKind
@@ -29,10 +32,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..network.graph import RoadNetwork
 
 
-# Exhaustive enumeration explores (2k)! / 2^k stop orders for k orders;
-# k=3 means 90 permutations per plan which keeps pool updates cheap, while
-# k=4 would already cost 2520 permutations per candidate group.  Larger
-# groups fall back to the greedy-insertion construction.
+# Groups up to this size are planned exactly.  The search space is the
+# (2k)! / 2^k valid stop orders of k orders (6 for k=2, 90 for k=3), but
+# the pruned search visits far fewer and prices each leg once, so the
+# cost of a plan is dominated by the legs it touches.  Larger groups
+# fall back to the greedy-insertion construction.
 _EXACT_GROUP_LIMIT = 3
 
 
@@ -52,8 +56,8 @@ class RoutePlanner:
     network:
         Road network used to price route legs.
     exact_group_limit:
-        Largest group size for which all stop interleavings are
-        enumerated exactly; larger groups use greedy insertion.
+        Largest group size planned exactly by the pruned search over all
+        stop interleavings; larger groups use greedy insertion.
     """
 
     def __init__(
@@ -141,7 +145,7 @@ class RoutePlanner:
         return self.try_plan([first, second], capacity, start_time)
 
     # ------------------------------------------------------------------
-    # exact enumeration
+    # exact search
     # ------------------------------------------------------------------
     def _plan_exact(
         self,
@@ -150,39 +154,124 @@ class RoutePlanner:
         start_time: float,
         start_node: int | None,
     ) -> PlannedGroup | None:
+        """Depth-first search for the cheapest feasible stop order.
+
+        Stops are indexed pickup ``2i``, dropoff ``2i + 1`` for the
+        ``i``-th order and expanded in increasing index order, so complete
+        routes are met in ``itertools.permutations`` order and the first
+        of several equally cheap routes wins.  A branch is cut when a
+        pickup would exceed ``capacity``, a dropoff would miss its
+        deadline, or its partial travel time already exceeds the best
+        complete route (legs are non-negative, so no completion can
+        beat it).  Sums and comparisons are the ones ``Route`` and
+        ``check_route`` form, so the winner's cost is bit-identical to
+        theirs.  Each leg is priced on first use through the scalar
+        ``travel_time`` and kept for the rest of the plan; no leg runs
+        from a dropoff to its own pickup, so the oracle is never asked
+        for a pair that no valid stop order contains.
+        """
         self._prefetch(orders, start_node)
-        best: PlannedGroup | None = None
-        for stops in self._candidate_stop_orders(orders):
-            route = Route(stops, self._network)
-            approach = self._approach_time(start_node, route)
-            report = check_route(route, orders, capacity, start_time, approach)
-            if not report.feasible:
+        if len(orders) == 1:
+            return self._plan_single(orders[0], capacity, start_time, start_node)
+        travel_time = self._network.travel_time
+        nodes = [node for order in orders for node in (order.pickup, order.dropoff)]
+        riders = [order.riders for order in orders]
+        deadlines = [order.deadline for order in orders]
+        size = len(nodes)
+        legs: list[float | None] = [None] * (size * size)
+        placed = [False] * size
+        best_path: list[int] | None = None
+        best_cost = math.inf
+        for first in range(0, size, 2):
+            if riders[first >> 1] > capacity:
                 continue
-            if best is None or route.total_travel_time < best.total_travel_time:
-                best = PlannedGroup(route, route.total_travel_time)
-        return best
+            approach = (
+                0.0 if start_node is None else travel_time(start_node, nodes[first])
+            )
+            ready = start_time + approach
+            # One entry per placed stop: the stop, the travel time up to
+            # it, the riders on board after it, and the candidates left
+            # for the next position.
+            placed[first] = True
+            path = [first]
+            cums = [0.0]
+            loads = [riders[first >> 1]]
+            pending = [iter(range(size))]
+            while pending:
+                last = path[-1]
+                for stop in pending[-1]:
+                    if placed[stop]:
+                        continue
+                    member = stop >> 1
+                    if stop & 1:
+                        if not placed[stop - 1]:
+                            continue
+                        load = loads[-1] - riders[member]
+                    else:
+                        load = loads[-1] + riders[member]
+                        if load > capacity:
+                            continue
+                    leg = legs[last * size + stop]
+                    if leg is None:
+                        leg = legs[last * size + stop] = travel_time(
+                            nodes[last], nodes[stop]
+                        )
+                    total = cums[-1] + leg
+                    if total > best_cost:
+                        continue
+                    if stop & 1 and ready + total > deadlines[member]:
+                        continue
+                    if len(path) == size - 1:
+                        if best_path is None or total < best_cost:
+                            best_path, best_cost = path + [stop], total
+                        continue
+                    placed[stop] = True
+                    path.append(stop)
+                    cums.append(total)
+                    loads.append(load)
+                    pending.append(iter(range(size)))
+                    break
+                else:
+                    pending.pop()
+                    placed[path.pop()] = False
+                    cums.pop()
+                    loads.pop()
+        if best_path is None:
+            return None
+        stops = [
+            RouteStop(
+                nodes[stop],
+                orders[stop >> 1].order_id,
+                StopKind.DROPOFF if stop & 1 else StopKind.PICKUP,
+            )
+            for stop in best_path
+        ]
+        route = Route(stops, self._network)
+        return PlannedGroup(route, route.total_travel_time)
 
-    def _candidate_stop_orders(
-        self, orders: Sequence["Order"]
-    ) -> Iterable[list[RouteStop]]:
-        """Yield every stop permutation where pickups precede dropoffs."""
-        stops = []
-        for order in orders:
-            stops.append(RouteStop(order.pickup, order.order_id, StopKind.PICKUP))
-            stops.append(RouteStop(order.dropoff, order.order_id, StopKind.DROPOFF))
-        for permutation in itertools.permutations(stops):
-            if self._pickups_precede_dropoffs(permutation):
-                yield list(permutation)
-
-    @staticmethod
-    def _pickups_precede_dropoffs(stops: Sequence[RouteStop]) -> bool:
-        picked: set[int] = set()
-        for stop in stops:
-            if stop.kind is StopKind.PICKUP:
-                picked.add(stop.order_id)
-            elif stop.order_id not in picked:
-                return False
-        return True
+    def _plan_single(
+        self,
+        order: "Order",
+        capacity: int,
+        start_time: float,
+        start_node: int | None,
+    ) -> PlannedGroup | None:
+        """The one valid stop order of a lone order, pickup then dropoff."""
+        if order.riders > capacity:
+            return None
+        travel_time = self._network.travel_time
+        leg = travel_time(order.pickup, order.dropoff)
+        approach = 0.0 if start_node is None else travel_time(start_node, order.pickup)
+        if start_time + approach + leg > order.deadline:
+            return None
+        route = Route(
+            [
+                RouteStop(order.pickup, order.order_id, StopKind.PICKUP),
+                RouteStop(order.dropoff, order.order_id, StopKind.DROPOFF),
+            ],
+            self._network,
+        )
+        return PlannedGroup(route, route.total_travel_time)
 
     # ------------------------------------------------------------------
     # insertion fallback for larger groups
@@ -227,7 +316,7 @@ class RoutePlanner:
         One ``travel_times_many`` call covers the whole stop-node block,
         so precomputing backends answer it as a batch (one refresh)
         instead of being hit with scalar queries from inside the
-        permutation loop.  Dropoffs only become leg *sources* when
+        search.  Dropoffs only become leg *sources* when
         several orders interleave, so the singleton case stays as cheap
         as before for the lazy backend.
         """

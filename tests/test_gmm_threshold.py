@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compat import HAVE_NUMPY, np
 from repro.core.gmm import GaussianMixture
@@ -148,3 +152,130 @@ class TestThresholdOptimizer:
         first = optimizer.threshold(order, 0.0)
         second = optimizer.threshold(order, 100.0)
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with the original per-point implementation
+# ---------------------------------------------------------------------------
+
+
+def _reference_cdf(mixture, x):
+    """The mixture CDF as first written: one ``np.vectorize`` per component."""
+    values = np.asarray(x, dtype=float)
+    result = np.zeros_like(values, dtype=float)
+    for component in mixture.components:
+        std = math.sqrt(component.variance)
+        z = (values - component.mean) / (std * math.sqrt(2.0))
+        result = result + component.weight * 0.5 * (1.0 + np.vectorize(math.erf)(z))
+    result = np.clip(result, 0.0, 1.0)
+    return float(result) if np.isscalar(x) else result
+
+
+def _reference_optimal_threshold(mixture, penalty):
+    """The threshold search as first written: one scalar CDF per grid point."""
+
+    def objective(theta):
+        return (penalty - theta) * float(_reference_cdf(mixture, theta))
+
+    if penalty <= 0:
+        return 0.0
+    grid = np.linspace(0.0, penalty, 64)
+    _, best = max((objective(theta), theta) for theta in grid)
+    theta = float(best)
+    step = 0.1 * penalty
+    eps = max(penalty * 1e-4, 1e-6)
+    for _ in range(25):
+        gradient = (objective(theta + eps) - objective(theta - eps)) / (2.0 * eps)
+        candidate = theta + step * gradient / max(penalty, 1e-9)
+        candidate = min(max(candidate, 0.0), penalty)
+        if objective(candidate) >= objective(theta):
+            theta = candidate
+        else:
+            step *= 0.5
+    return theta
+
+
+def _random_mixture(seed, components):
+    rng = np.random.default_rng(seed)
+    modes = rng.uniform(0.0, 900.0, components)
+    spreads = rng.uniform(1.0, 120.0, components)
+    samples = np.concatenate(
+        [rng.normal(mode, spread, 40) for mode, spread in zip(modes, spreads)]
+    )
+    return GaussianMixture(n_components=components, seed=seed).fit(samples)
+
+
+def _bits(value):
+    return float(value).hex()
+
+
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+_COMPONENTS = st.integers(min_value=1, max_value=4)
+
+
+class TestBitIdentity:
+    @settings(max_examples=40, deadline=None)
+    @given(_SEEDS, _COMPONENTS)
+    def test_scalar_cdf_matches_array_cdf(self, seed, components):
+        mixture = _random_mixture(seed, components)
+        rng = np.random.default_rng(seed)
+        floats = np.concatenate(
+            [rng.uniform(-200.0, 1500.0, 40), [0.0, -0.0, 1e-300, 1e9, -1e9]]
+        )
+        ints = [-50, 0, 1, 17, 300, 2000]
+        array = mixture.cdf(floats)
+        for x, want in zip(floats, array):
+            assert _bits(mixture.cdf(float(x))) == _bits(want)
+            assert _bits(mixture.cdf(np.float64(x))) == _bits(want)
+            assert _bits(_reference_cdf(mixture, float(x))) == _bits(want)
+        for x, want in zip(ints, mixture.cdf(np.asarray(ints))):
+            assert _bits(mixture.cdf(x)) == _bits(want)
+            assert _bits(_reference_cdf(mixture, x)) == _bits(want)
+
+    def test_scalar_cdf_returns_a_python_float(self):
+        mixture = _random_mixture(1, 2)
+        assert type(mixture.cdf(3.0)) is float
+        assert type(mixture.cdf(3)) is float
+        assert type(mixture.cdf(np.float64(3.0))) is float
+        assert mixture.cdf(np.array([3.0])).shape == (1,)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        _SEEDS,
+        _COMPONENTS,
+        st.lists(
+            st.one_of(
+                st.floats(min_value=1e-6, max_value=5000.0),
+                st.integers(min_value=-10, max_value=5000),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_optimal_threshold_matches_the_original_loop(
+        self, seed, components, penalties
+    ):
+        mixture = _random_mixture(seed, components)
+        optimizer = ThresholdOptimizer(mixture)
+        for penalty in penalties:
+            assert _bits(optimizer.optimal_threshold(penalty)) == _bits(
+                _reference_optimal_threshold(mixture, penalty)
+            )
+
+    def test_flat_objective_keeps_the_last_grid_maximiser(self):
+        # All mass far above a tiny penalty: F is exactly 0 on the whole
+        # grid, every grid point ties, and the largest theta wins.
+        mixture = GaussianMixture(n_components=1).fit([500.0, 510.0, 520.0])
+        optimizer = ThresholdOptimizer(mixture)
+        penalty = 1e-3
+        grid = np.linspace(0.0, penalty, 64)
+        assert not np.any((penalty - grid) * mixture.cdf(grid))
+        want = _reference_optimal_threshold(mixture, penalty)
+        assert want == penalty
+        assert _bits(optimizer.optimal_threshold(penalty)) == _bits(want)
+
+    def test_non_positive_penalties(self):
+        optimizer = ThresholdOptimizer(_random_mixture(2, 2))
+        for penalty in (0, 0.0, -0.0, -3.5, -7):
+            assert optimizer.optimal_threshold(penalty) == 0.0
+            assert _reference_optimal_threshold(optimizer.mixture, penalty) == 0.0
